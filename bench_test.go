@@ -5,6 +5,7 @@
 package delphi_test
 
 import (
+	"runtime"
 	"testing"
 
 	"delphi/internal/bench"
@@ -237,7 +238,9 @@ func delphiBenchParams() core.Params {
 }
 
 // BenchmarkDelphiNodeStep microbenchmarks one node's message-processing
-// step in a 16-node cluster (the per-delivery hot path).
+// step in a 16-node cluster (the per-delivery hot path). allocs/msg and
+// B/msg divide the timed runs' heap allocations, simulator included, by
+// their messages.
 func BenchmarkDelphiNodeStep(b *testing.B) {
 	st, err := bench.Run(bench.RunSpec{
 		Protocol: bench.ProtoDelphi, N: 16, F: 5, Env: sim.Local(), Seed: 1,
@@ -247,7 +250,9 @@ func BenchmarkDelphiNodeStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msgs := st.TotalMsgs
+	warm, msgs := st.TotalMsgs, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := bench.Run(bench.RunSpec{
@@ -260,5 +265,9 @@ func BenchmarkDelphiNodeStep(b *testing.B) {
 		}
 		msgs += st.TotalMsgs
 	}
-	b.ReportMetric(float64(msgs)/float64(b.N+1), "msgs_per_run")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(warm+msgs)/float64(b.N+1), "msgs_per_run")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(msgs), "B/msg")
 }

@@ -36,17 +36,20 @@ func (b bitset) clear(id node.ID) {
 }
 
 // voteSet is one value's tally: the voters and their count. count mirrors
-// the set so quorum checks don't re-popcount.
+// the set so quorum checks don't re-popcount. amped is used on ECHO1
+// tallies only: this node has itself echoed v.
 type voteSet struct {
 	v     float64
 	set   bitset
 	count int
+	amped bool
 }
 
 // votes tallies votes per distinct value. An instance-round sees only a
 // handful of distinct values (the two round states plus amplified
 // midpoints), so a linear scan over a small slice beats a float64-keyed
-// map of maps by a wide margin.
+// map of maps by a wide margin. The slice starts as a zero-length window
+// on slab tallies whose bitsets are pre-assigned (see newInst).
 type votes struct {
 	sets []voteSet
 }
@@ -61,14 +64,25 @@ func (vs *votes) find(v float64) *voteSet {
 	return nil
 }
 
-// add records a vote for v by from, allocating the tally on first use;
-// it reports whether the vote was new. n is the node universe size.
-func (vs *votes) add(from node.ID, v float64, n int) bool {
-	s := vs.find(v)
-	if s == nil {
-		vs.sets = append(vs.sets, voteSet{v: v, set: newBitset(n)})
-		s = &vs.sets[len(vs.sets)-1]
+// tally returns the tally for v, adding an empty one on first use: a slab
+// slot (one whose bitset is pre-assigned) while the window has one, a fresh
+// allocation beyond it. n is the node universe size.
+func (vs *votes) tally(v float64, n int) *voteSet {
+	if s := vs.find(v); s != nil {
+		return s
 	}
+	if k := len(vs.sets); k < cap(vs.sets) && vs.sets[:k+1][k].set != nil {
+		vs.sets = vs.sets[:k+1]
+		vs.sets[k].v = v
+		return &vs.sets[k]
+	}
+	vs.sets = append(vs.sets, voteSet{v: v, set: newBitset(n)})
+	return &vs.sets[len(vs.sets)-1]
+}
+
+// add records a vote for v by from; it reports whether the vote was new.
+func (vs *votes) add(from node.ID, v float64, n int) bool {
+	s := vs.tally(v, n)
 	if !s.set.set(from) {
 		return false
 	}

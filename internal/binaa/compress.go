@@ -80,17 +80,9 @@ func packNibbles(syms []uint8) []byte {
 	return out
 }
 
-// unpackNibbles undoes packNibbles for n symbols.
-func unpackNibbles(b []byte, n int) []uint8 {
-	out := make([]uint8, 0, n)
-	for i := 0; i < n; i++ {
-		v := b[i/2]
-		if i%2 == 1 {
-			v >>= 4
-		}
-		out = append(out, v&0x0f)
-	}
-	return out
+// nibble reads symbol i of a packNibbles encoding.
+func nibble(b []byte, i int) uint8 {
+	return b[i/2] >> (4 * (i % 2)) & 0x0f
 }
 
 // Echo1C is the compressed round-opening bundle (rounds >= 2): symbols for

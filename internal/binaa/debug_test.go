@@ -2,7 +2,6 @@ package binaa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -13,23 +12,12 @@ import (
 // debugState dumps the engine's per-instance per-round progress.
 func (e *Engine) debugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "round=%d done=%v insts=%d\n", e.round, e.done, len(e.insts))
-	for r := 1; r <= len(e.initCount); r++ {
-		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r, e.initCount[r-1], e.zerosCount[r-1], e.sentZeros[r-1])
+	fmt.Fprintf(&b, "round=%d done=%v insts=%d\n", e.round, e.done, len(e.instList))
+	for r, bk := range e.books {
+		fmt.Fprintf(&b, " r%d: init=%d zeros=%d sentZeros=%v\n", r+1, bk.count, bk.zerosCount, bk.sentZeros)
 	}
-	ids := make([]IID, 0, len(e.insts))
-	for id := range e.insts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Level != ids[j].Level {
-			return ids[i].Level < ids[j].Level
-		}
-		return ids[i].K < ids[j].K
-	})
-	for _, id := range ids {
-		x := e.insts[id]
-		fmt.Fprintf(&b, " %v state=%g joined=%d:", id, x.state, x.joined)
+	for _, x := range e.instList {
+		fmt.Fprintf(&b, " %v state=%g:", x.id, x.state)
 		for r := 1; r <= len(x.rounds); r++ {
 			ir := x.rounds[r-1]
 			e1 := ""

@@ -1,9 +1,9 @@
 package binaa
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -53,41 +53,57 @@ type Engine struct {
 	round  int // current round, 1-based
 	done   bool
 	inputs map[IID]float64
-	insts  map[IID]*inst
-	// instList holds the instances in activation order, for iteration
-	// without map-ordering overhead (all whole-set loops are commutative).
+	insts  map[uint64]*inst // by instKey
+	// instList holds every active instance sorted by (level, K), i.e. by
+	// instKey; late activation inserts at the sorted position. Drains rely
+	// on the order: a whole-set loop over instList marks (instance, round)
+	// pairs in ascending key order, so its drain arrives presorted.
 	instList []*inst
 
-	// Per-round bookkeeping, index r-1; grown on demand. initBundles holds
-	// each sender's (reconstructed) round announcement, indexed by sender:
-	// instances listed — with any value, zero included — voted explicitly;
-	// everything else implicitly voted 0. initSeen marks the senders whose
-	// bundle has arrived (a present bundle may be an empty list).
-	initBundles  [][][]IVal
-	initSeen     []bitset
-	initCount    []int
-	zerosSenders []bitset
-	zerosCount   []int
-	sentZeros    []bool
+	// books[r-1] is round r's bookkeeping; all cfg.Rounds are allocated up
+	// front.
+	books []roundBook
 
-	// Compression state: this node's own per-round announcements in
-	// canonical append order, with an index per round; plus buffered
+	// Compression state: this node's latest round announcement in canonical
+	// append order (the base of its next compressed bundle; each
+	// instance's position in it is instRound.annPos); plus buffered
 	// compressed bundles whose base round has not arrived yet.
-	announced  [][]IVal
-	annIndex   []map[IID]int
+	announced  []IVal
 	pendingC   map[node.ID]map[int]*Echo1C
 	pendingE2C map[node.ID]map[int]*Echo2C
 
-	// Staged outgoing echoes for the current step.
-	pendAmp  []IVal
-	pendE2   []IVal
-	pendE2CB map[int][]byte // per round: staged compact ECHO2 bitmap
+	// Staged outgoing echoes for the current step; pendE2C reports that
+	// some round's compact ECHO2 bitmap (roundBook.e2cBits) is staged.
+	pendAmp []IVal
+	pendE2  []IVal
+	pendE2C bool
 	// dirty lists the (instance, round) pairs touched by the current
 	// message; the per-round dirty flag deduplicates, and the packed key
-	// orders the drain deterministically by (round, level, K).
+	// orders the drain deterministically by (round, level, K). drain is the
+	// second buffer: settle swaps the two, so neither is regrown per drain.
 	dirty []dirtyEntry
+	drain []dirtyEntry
 	// gen is the bundle-membership generation counter (see inst.gen).
 	gen uint64
+}
+
+// roundBook is the engine's per-round bookkeeping.
+type roundBook struct {
+	// bundles holds each sender's (reconstructed) round announcement,
+	// indexed by sender: instances listed — with any value, zero included
+	// — voted explicitly; everything else implicitly voted 0.
+	bundles [][]IVal
+	// seen marks the senders whose bundle has arrived (a present bundle
+	// may be an empty list); count is its size.
+	seen  bitset
+	count int
+	// zeros marks the senders whose zeros ECHO2 bundle has arrived;
+	// zerosCount is its size. sentZeros records our own.
+	zeros      bitset
+	zerosCount int
+	sentZeros  bool
+	// e2cBits is the staged compact ECHO2 bitmap, reset by flush.
+	e2cBits []byte
 }
 
 type dirtyEntry struct {
@@ -95,44 +111,43 @@ type dirtyEntry struct {
 	x   *inst
 }
 
-// sortDirty orders entries by packed key. Most drains are a handful of
-// entries per delivered message, where a direct insertion sort beats the
-// generic comparator-closure sort by a wide margin; the rare large drains
-// (a round advance re-marks every instance) fall through to SortFunc.
+// sortDirty orders a drain by packed key. Large drains come from
+// whole-set loops over the sorted instList and are checked in one pass;
+// the few that are not sorted fall through to SortFunc. Small drains — a
+// handful of entries per delivered message — use an insertion sort, which
+// beats the generic comparator sort by a wide margin there.
 func sortDirty(entries []dirtyEntry) {
-	if len(entries) <= 32 {
+	if len(entries) > 32 {
 		for i := 1; i < len(entries); i++ {
-			e := entries[i]
-			j := i - 1
-			for j >= 0 && entries[j].key > e.key {
-				entries[j+1] = entries[j]
-				j--
+			if entries[i].key < entries[i-1].key {
+				slices.SortFunc(entries, func(a, b dirtyEntry) int { return cmp.Compare(a.key, b.key) })
+				return
 			}
-			entries[j+1] = e
 		}
 		return
 	}
-	slices.SortFunc(entries, func(a, b dirtyEntry) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
+	for i := 1; i < len(entries); i++ {
+		e := entries[i]
+		j := i - 1
+		for j >= 0 && entries[j].key > e.key {
+			entries[j+1] = entries[j]
+			j--
 		}
-	})
+		entries[j+1] = e
+	}
 }
 
 // dirtyKey packs (round, instance) so that ascending uint64 order equals
-// the engine's deterministic (round, level, K) processing order. K's sign
-// bit is flipped to map int32 ordering onto uint32 ordering.
-func dirtyKey(id IID, r int) uint64 {
-	return uint64(r)<<40 | uint64(id.Level)<<32 | uint64(uint32(id.K)^0x80000000)
-}
+// the engine's deterministic (round, level, K) processing order.
+func dirtyKey(x *inst, r int) uint64 { return uint64(r)<<40 | x.key }
 
 // dirtyRound recovers the round from a packed key.
 func dirtyRound(k uint64) int { return int(k >> 40) }
+
+// validValue reports whether v can be a vote: BinAA values lie in [0,1].
+// The engine drops anything else (NaN included) where it enters from the
+// wire, so a Byzantine sender cannot grow a tally per bogus value.
+func validValue(v float64) bool { return v >= 0 && v <= 1 }
 
 // NewEngine creates an engine with the node's non-zero inputs. An input of
 // 1 at instance X corresponds to Algorithm 2 line 11; inputs strictly
@@ -146,21 +161,25 @@ func NewEngine(cfg Config, inputs map[IID]float64, onDone func(map[IID]float64))
 	}
 	in := make(map[IID]float64, len(inputs))
 	for id, v := range inputs {
-		if v < 0 || v > 1 {
+		if !validValue(v) {
 			return nil, fmt.Errorf("binaa: input %v=%g outside [0,1]", id, v)
 		}
 		if v != 0 {
 			in[id] = v
 		}
 	}
+	books := make([]roundBook, cfg.Rounds)
+	for r := range books {
+		books[r] = roundBook{bundles: make([][]IVal, cfg.N), seen: newBitset(cfg.N), zeros: newBitset(cfg.N)}
+	}
 	return &Engine{
 		cfg:        cfg,
 		onDone:     onDone,
 		inputs:     in,
-		insts:      make(map[IID]*inst),
+		insts:      make(map[uint64]*inst),
+		books:      books,
 		pendingC:   make(map[node.ID]map[int]*Echo1C),
 		pendingE2C: make(map[node.ID]map[int]*Echo2C),
-		pendE2CB:   make(map[int][]byte),
 	}, nil
 }
 
@@ -173,10 +192,10 @@ func (e *Engine) Round() int { return e.round }
 // Weights returns the final per-instance weights; valid only once Done.
 // Instances never mentioned by anyone have weight 0 and are omitted.
 func (e *Engine) Weights() map[IID]float64 {
-	out := make(map[IID]float64, len(e.insts))
-	for id, x := range e.insts {
+	out := make(map[IID]float64, len(e.instList))
+	for _, x := range e.instList {
 		if x.state != 0 {
-			out[id] = x.state
+			out[x.id] = x.state
 		}
 	}
 	return out
@@ -188,121 +207,64 @@ func (e *Engine) Start(env node.Env) {
 	e.track = node.TrackOf(env)
 	e.roundAt = e.track.Now()
 	e.round = 1
-	// Seed instList in sorted (level, K) order, not input-map order: every
-	// later activation appends in deterministic message order, and whole-set
-	// loops over instList stage broadcasts — map order here is the same
-	// schedule-nondeterminism class as the aba.OnCoin map walk, merely
-	// masked today by downstream sorting.
-	ids := make([]IID, 0, len(e.inputs))
-	for id := range e.inputs {
-		ids = append(ids, id)
-	}
-	sortIIDs(ids)
-	for _, id := range ids {
-		x := &inst{id: id, n: e.cfg.N, state: e.inputs[id], joined: 1}
-		e.insts[id] = x
+	// Seed instList in sorted (level, K) order, not input-map order.
+	for id, v := range e.inputs {
+		x := newInst(id, e.cfg.N, e.cfg.Rounds, v)
+		e.insts[x.key] = x
 		e.instList = append(e.instList, x)
 	}
+	slices.SortFunc(e.instList, func(a, b *inst) int { return cmp.Compare(a.key, b.key) })
 	e.openRound(1)
 	e.flush()
-}
-
-// grow ensures per-round slices cover round r.
-func (e *Engine) grow(r int) {
-	for len(e.initBundles) < r {
-		e.initBundles = append(e.initBundles, make([][]IVal, e.cfg.N))
-		e.initSeen = append(e.initSeen, newBitset(e.cfg.N))
-		e.initCount = append(e.initCount, 0)
-		e.zerosSenders = append(e.zerosSenders, newBitset(e.cfg.N))
-		e.zerosCount = append(e.zerosCount, 0)
-		e.sentZeros = append(e.sentZeros, false)
-	}
 }
 
 // openRound broadcasts this node's round-opening bundle for round r: a full
 // entry list in round 1 (and always when compression is off), a compressed
 // delta bundle afterwards.
 func (e *Engine) openRound(r int) {
-	e.grow(r)
-	for len(e.announced) < r {
-		e.announced = append(e.announced, nil)
-		e.annIndex = append(e.annIndex, nil)
-	}
 	// Mark per-instance round state (my init vote and self-echo).
 	for _, x := range e.instList {
-		ir := x.round(r)
+		ir := &x.rounds[r-1]
 		ir.myInit = x.state
-		ir.markAmped(x.state)
+		ir.markAmped(x.state, e.cfg.N)
 	}
 	// Build this round's announcement in canonical append order: previous
-	// announcement first, newly active instances (sorted) appended.
-	var ann []IVal
-	idx := make(map[IID]int, len(e.insts))
-	if r > 1 && e.announced[r-2] != nil {
-		prevIdx := e.annIndex[r-2]
-		ann = make([]IVal, 0, len(e.insts))
-		for _, p := range e.announced[r-2] {
-			ann = append(ann, IVal{ID: p.ID, Round: uint16(r), V: e.insts[p.ID].state})
-			idx[p.ID] = len(ann) - 1
-		}
-		var fresh []IID
-		for _, x := range e.instList {
-			if _, ok := prevIdx[x.id]; !ok {
-				fresh = append(fresh, x.id)
-			}
-		}
-		sortIIDs(fresh)
-		for _, id := range fresh {
-			ann = append(ann, IVal{ID: id, Round: uint16(r), V: e.insts[id].state})
-			idx[id] = len(ann) - 1
-		}
-	} else {
-		ids := make([]IID, 0, len(e.instList))
-		for _, x := range e.instList {
-			ids = append(ids, x.id)
-		}
-		sortIIDs(ids)
-		ann = make([]IVal, 0, len(ids))
-		for _, id := range ids {
-			ann = append(ann, IVal{ID: id, Round: uint16(r), V: e.insts[id].state})
-			idx[id] = len(ann) - 1
+	// announcement first, newly active instances (in instList's sorted
+	// order) appended.
+	prev := e.announced
+	ann := make([]IVal, len(prev), len(e.instList))
+	for _, x := range e.instList {
+		iv := IVal{ID: x.id, Round: uint16(r), V: x.state}
+		if r > 1 && x.rounds[r-2].annPos > 0 {
+			ann[x.rounds[r-2].annPos-1] = iv
+		} else {
+			ann = append(ann, iv)
 		}
 	}
-	e.announced[r-1] = ann
-	e.annIndex[r-1] = idx
 
-	if e.cfg.DisableCompression || r == 1 || e.announced[r-2] == nil {
+	if r == 1 || e.cfg.DisableCompression {
 		// Full bundle: transmit only non-zero entries (implicit zeros cover
-		// the rest) but remember the full announcement locally. For
-		// canonical ordering across peers, round-1 announcements contain
-		// only this node's non-zero inputs, so the transmitted list and
-		// announcement coincide there.
+		// the rest). Receivers reconstruct announcements from transmitted
+		// entries, so the announcement is the transmitted list. Round-1
+		// announcements contain only this node's non-zero inputs, so there
+		// the two coincide anyway.
 		vals := make([]IVal, 0, len(ann))
 		for _, iv := range ann {
 			if iv.V != 0 {
 				vals = append(vals, iv)
 			}
 		}
-		if r == 1 || e.cfg.DisableCompression {
-			// Receivers reconstruct announcements from transmitted entries,
-			// so the announcement must equal the transmitted list.
-			e.announced[r-1] = vals
-			idx = make(map[IID]int, len(vals))
-			for i, iv := range vals {
-				idx[iv.ID] = i
-			}
-			e.annIndex[r-1] = idx
-		}
+		e.announce(r, vals)
 		e.env.Broadcast(&Echo1{Round: uint16(r), Init: true, Vals: vals})
 		return
 	}
+	e.announce(r, ann)
 
 	// Compressed bundle relative to the previous announcement.
-	prev := e.announced[r-2]
 	syms := make([]uint8, len(prev))
 	var escapes []float64
 	for i, p := range prev {
-		newV := e.insts[p.ID].state
+		newV := ann[i].V
 		sym, ok := deltaSymbol(p.V, newV, r)
 		if !ok {
 			sym = symX
@@ -310,23 +272,21 @@ func (e *Engine) openRound(r int) {
 		}
 		syms[i] = sym
 	}
-	newVals := ann[len(prev):]
 	e.env.Broadcast(&Echo1C{
 		Round:     uint16(r),
 		PrevCount: uint16(len(prev)),
 		Deltas:    packNibbles(syms),
 		Escapes:   escapes,
-		NewVals:   append([]IVal(nil), newVals...),
+		NewVals:   append([]IVal(nil), ann[len(prev):]...),
 	})
 }
 
-func sortIIDs(ids []IID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Level != ids[j].Level {
-			return ids[i].Level < ids[j].Level
-		}
-		return ids[i].K < ids[j].K
-	})
+// announce records ann as this node's round-r announcement.
+func (e *Engine) announce(r int, ann []IVal) {
+	e.announced = ann
+	for i, iv := range ann {
+		e.insts[instKey(iv.ID)].rounds[r-1].annPos = i + 1
+	}
 }
 
 // validRound bounds rounds accepted from the wire.
@@ -342,16 +302,21 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 		if !e.validRound(r) {
 			return
 		}
-		e.applyInitBundle(from, r, m.Vals)
+		kept := make([]IVal, 0, len(m.Vals))
+		for _, v := range m.Vals {
+			if int(v.Round) == r && validValue(v.V) {
+				kept = append(kept, v)
+			}
+		}
+		e.applyInitBundle(from, r, kept)
 	} else {
 		for _, v := range m.Vals {
 			r := int(v.Round)
-			if !e.validRound(r) {
+			if !e.validRound(r) || !validValue(v.V) {
 				continue
 			}
-			e.grow(r)
 			x := e.activate(v.ID)
-			if x.round(r).addEcho1(from, v.V, e.cfg.N) {
+			if x.rounds[r-1].echo1.add(from, v.V, e.cfg.N) {
 				e.mark(x, r)
 			}
 		}
@@ -359,33 +324,33 @@ func (e *Engine) HandleEcho1(from node.ID, m *Echo1) {
 	e.settle()
 }
 
-// applyInitBundle records a sender's round announcement and applies its
-// explicit and implicit votes. It then drains any buffered compressed
-// bundles that were waiting for this round.
+// applyInitBundle records a sender's round announcement — vals, already
+// filtered to round r and valid values, which the engine keeps — and
+// applies its explicit and implicit votes. It then drains any buffered
+// compressed bundles that were waiting for this round.
 func (e *Engine) applyInitBundle(from node.ID, r int, vals []IVal) {
-	e.grow(r)
-	if e.initSeen[r-1].get(from) {
+	b := &e.books[r-1]
+	if b.seen.get(from) {
 		return // equivocating bundle: first wins
 	}
-	kept := make([]IVal, 0, len(vals))
-	for _, v := range vals {
-		if int(v.Round) == r {
-			kept = append(kept, v)
-		}
-	}
-	e.initSeen[r-1].set(from)
-	e.initBundles[r-1][from] = kept
-	e.initCount[r-1]++
+	b.seen.set(from)
+	b.bundles[from] = vals
+	b.count++
+	// Activate and tag the listed instances (first listing wins), then
+	// apply every instance's vote — listed value or implicit 0 — in one
+	// pass over instList, so the marks arrive in key order.
 	e.gen++
-	for _, v := range kept {
-		x := e.activate(v.ID)
-		x.gen = e.gen
-		e.applyInitVote(x, r, from, v.V)
+	for _, v := range vals {
+		if x := e.activate(v.ID); x.gen != e.gen {
+			x.gen, x.genV = e.gen, v.V
+		}
 	}
 	for _, x := range e.instList {
-		if x.gen != e.gen {
-			e.applyInitVote(x, r, from, 0)
+		v := 0.0
+		if x.gen == e.gen {
+			v = x.genV
 		}
+		e.applyInitVote(x, r, from, v)
 	}
 	e.maybeSendZeros(r)
 	// A compressed bundle for r+1 may have been waiting for this base.
@@ -405,14 +370,10 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 		return
 	}
 	r := int(m.Round)
-	if !e.validRound(r) || r < 2 {
+	if !e.validRound(r) || r < 2 || e.books[r-1].seen.get(from) {
 		return
 	}
-	e.grow(r)
-	if e.initSeen[r-1].get(from) {
-		return
-	}
-	if !e.initSeen[r-2].get(from) {
+	if !e.books[r-2].seen.get(from) {
 		// Base round not yet seen: buffer (keep the first only).
 		if e.pendingC[from] == nil {
 			e.pendingC[from] = make(map[int]*Echo1C)
@@ -427,34 +388,40 @@ func (e *Engine) HandleEcho1C(from node.ID, m *Echo1C) {
 }
 
 // applyCompressed reconstructs a compressed bundle against the sender's
-// previous announcement and applies it.
+// previous announcement and applies it. Entries whose value is not valid
+// (an escape or NewVals value, or a symbol stepping outside [0,1]) are
+// dropped.
 func (e *Engine) applyCompressed(from node.ID, m *Echo1C) {
 	r := int(m.Round)
-	prev := e.initBundles[r-2][from]
+	prev := e.books[r-2].bundles[from]
 	if len(prev) != int(m.PrevCount) || len(m.Deltas) < (len(prev)+1)/2 {
 		return // malformed relative to our view: drop
 	}
-	syms := unpackNibbles(m.Deltas, len(prev))
 	full := make([]IVal, 0, len(prev)+len(m.NewVals))
 	esc := 0
 	for i, p := range prev {
-		v := 0.0
-		if syms[i] == symX {
+		var v float64
+		switch sym := nibble(m.Deltas, i); {
+		case sym == symX:
 			if esc >= len(m.Escapes) {
 				return // malformed escape list
 			}
 			v = m.Escapes[esc]
 			esc++
-		} else if syms[i] > sym2R {
+		case sym > sym2R:
 			return // unknown symbol
-		} else {
-			v = applySymbol(p.V, syms[i], r)
+		default:
+			v = applySymbol(p.V, sym, r)
 		}
-		full = append(full, IVal{ID: p.ID, Round: uint16(r), V: v})
+		if validValue(v) {
+			full = append(full, IVal{ID: p.ID, Round: uint16(r), V: v})
+		}
 	}
 	for _, nv := range m.NewVals {
-		nv.Round = uint16(r)
-		full = append(full, nv)
+		if validValue(nv.V) {
+			nv.Round = uint16(r)
+			full = append(full, nv)
+		}
 	}
 	e.applyInitBundle(from, r, full)
 }
@@ -468,8 +435,7 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 	if !e.validRound(r) {
 		return
 	}
-	e.grow(r)
-	if !e.initSeen[r-1].get(from) {
+	if !e.books[r-1].seen.get(from) {
 		if e.pendingE2C[from] == nil {
 			e.pendingE2C[from] = make(map[int]*Echo2C)
 		}
@@ -495,13 +461,12 @@ func (e *Engine) HandleEcho2C(from node.ID, m *Echo2C) {
 // applyEcho2C resolves bitmap bits against the sender's round announcement.
 func (e *Engine) applyEcho2C(from node.ID, m *Echo2C) {
 	r := int(m.Round)
-	ann := e.initBundles[r-1][from]
-	for i, iv := range ann {
+	for i, iv := range e.books[r-1].bundles[from] {
 		if !getBit(m.Bits, i) {
 			continue
 		}
 		x := e.activate(iv.ID)
-		if x.round(r).addEcho2(from, iv.V, true, e.cfg.N) {
+		if x.rounds[r-1].addEcho2(from, iv.V, true, e.cfg.N) {
 			e.mark(x, r)
 		}
 	}
@@ -512,45 +477,35 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 	if e.done {
 		return
 	}
-	if m.Zeros {
-		r := int(m.Round)
-		if e.validRound(r) {
-			e.grow(r)
-			if !e.zerosSenders[r-1].get(from) {
-				e.zerosSenders[r-1].set(from)
-				e.zerosCount[r-1]++
-				// Mark the sender's listed instances once (first listing
-				// wins, as in bundle reconstruction), then apply the
-				// implicit zero to every instance whose init-slot vote from
-				// this sender was zero; instances whose init vote hasn't
-				// arrived pick the zeros vote up in applyInitVote.
-				e.gen++
-				for _, v := range e.initBundles[r-1][from] {
-					if x, ok := e.insts[v.ID]; ok && x.gen != e.gen {
-						x.gen = e.gen
-						x.genNonzero = v.V != 0
-					}
-				}
-				for _, x := range e.instList {
-					ir := x.round(r)
-					listedNonzero := x.gen == e.gen && x.genNonzero
-					if ir.initConsumed.get(from) && !listedNonzero {
-						if ir.addEcho2(from, 0, false, e.cfg.N) {
-							e.mark(x, r)
-						}
-					}
-				}
+	if r := int(m.Round); m.Zeros && e.validRound(r) && e.books[r-1].zeros.set(from) {
+		b := &e.books[r-1]
+		b.zerosCount++
+		// Mark the sender's listed instances once (first listing wins, as
+		// in bundle reconstruction), then apply the implicit zero to every
+		// instance whose init-slot vote from this sender was zero;
+		// instances whose init vote hasn't arrived pick the zeros vote up
+		// in applyInitVote.
+		e.gen++
+		for _, v := range b.bundles[from] {
+			if x, ok := e.insts[instKey(v.ID)]; ok && x.gen != e.gen {
+				x.gen, x.genV = e.gen, v.V
+			}
+		}
+		for _, x := range e.instList {
+			ir := &x.rounds[r-1]
+			listedNonzero := x.gen == e.gen && x.genV != 0
+			if ir.initConsumed.get(from) && !listedNonzero && ir.addEcho2(from, 0, false, e.cfg.N) {
+				e.mark(x, r)
 			}
 		}
 	}
 	for _, v := range m.Vals {
 		r := int(v.Round)
-		if !e.validRound(r) {
+		if !e.validRound(r) || !validValue(v.V) {
 			continue
 		}
-		e.grow(r)
 		x := e.activate(v.ID)
-		if x.round(r).addEcho2(from, v.V, true, e.cfg.N) {
+		if x.rounds[r-1].addEcho2(from, v.V, true, e.cfg.N) {
 			e.mark(x, r)
 		}
 	}
@@ -561,16 +516,13 @@ func (e *Engine) HandleEcho2(from node.ID, m *Echo2) {
 // round, and applies the sender's pending zeros-bundle ECHO2 if the vote
 // was zero.
 func (e *Engine) applyInitVote(x *inst, r int, from node.ID, v float64) {
-	ir := x.round(r)
-	if ir.initConsumed.get(from) {
+	ir := &x.rounds[r-1]
+	if !ir.initConsumed.set(from) {
 		return
 	}
-	ir.initConsumed.set(from)
-	changed := ir.addEcho1(from, v, e.cfg.N)
-	if v == 0 && e.zerosSenders[r-1].get(from) {
-		if ir.addEcho2(from, 0, false, e.cfg.N) {
-			changed = true
-		}
+	changed := ir.echo1.add(from, v, e.cfg.N)
+	if v == 0 && e.books[r-1].zeros.get(from) && ir.addEcho2(from, 0, false, e.cfg.N) {
+		changed = true
 	}
 	if changed {
 		e.mark(x, r)
@@ -581,20 +533,23 @@ func (e *Engine) applyInitVote(x *inst, r int, from node.ID, v float64) {
 // implicit votes) on first mention. Late-activated instances join with
 // state 0 — the value this node's implicit votes have already cast.
 func (e *Engine) activate(id IID) *inst {
-	if x, ok := e.insts[id]; ok {
+	k := instKey(id)
+	if x, ok := e.insts[k]; ok {
 		return x
 	}
-	x := &inst{id: id, n: e.cfg.N, state: 0, joined: e.round}
-	e.insts[id] = x
-	e.instList = append(e.instList, x)
-	for r := 1; r <= len(e.initBundles); r++ {
+	x := newInst(id, e.cfg.N, e.cfg.Rounds, 0)
+	e.insts[k] = x
+	i, _ := slices.BinarySearchFunc(e.instList, k, func(y *inst, k uint64) int { return cmp.Compare(y.key, k) })
+	e.instList = slices.Insert(e.instList, i, x)
+	for r := 1; r <= e.cfg.Rounds; r++ {
+		b := &e.books[r-1]
 		for from := 0; from < e.cfg.N; from++ {
-			if !e.initSeen[r-1].get(node.ID(from)) {
+			if !b.seen.get(node.ID(from)) {
 				continue
 			}
 			v := 0.0
-			for _, iv := range e.initBundles[r-1][from] {
-				if iv.ID == id && int(iv.Round) == r {
+			for _, iv := range b.bundles[from] {
+				if iv.ID == id {
 					v = iv.V
 					break
 				}
@@ -604,7 +559,7 @@ func (e *Engine) activate(id IID) *inst {
 		// This node's own implicit behaviour: it echoed 0 in every round it
 		// has opened, so it must not re-amplify 0 there.
 		if r <= e.round {
-			x.round(r).markAmped(0)
+			x.rounds[r-1].markAmped(0, e.cfg.N)
 		}
 	}
 	return x
@@ -613,18 +568,17 @@ func (e *Engine) activate(id IID) *inst {
 // mark queues (x, r) for re-checking; the instRound's dirty flag makes
 // repeated marks free.
 func (e *Engine) mark(x *inst, r int) {
-	ir := x.round(r)
-	if !ir.dirty {
+	if ir := &x.rounds[r-1]; !ir.dirty {
 		ir.dirty = true
-		e.dirty = append(e.dirty, dirtyEntry{key: dirtyKey(x.id, r), x: x})
+		e.dirty = append(e.dirty, dirtyEntry{key: dirtyKey(x, r), x: x})
 	}
 }
 
 // maybeSendZeros broadcasts the implicit ECHO2(0) bundle for round r once
 // n-t init bundles for r have arrived.
 func (e *Engine) maybeSendZeros(r int) {
-	if !e.sentZeros[r-1] && e.initCount[r-1] >= e.cfg.Quorum() {
-		e.sentZeros[r-1] = true
+	if b := &e.books[r-1]; !b.sentZeros && b.count >= e.cfg.Quorum() {
+		b.sentZeros = true
 		e.env.Broadcast(&Echo2{Round: uint16(r), Zeros: true})
 	}
 }
@@ -635,17 +589,19 @@ func (e *Engine) settle() {
 	quorum := e.cfg.Quorum()
 	for {
 		for len(e.dirty) > 0 {
-			// Drain the dirty list; checks may re-mark entries (the flag is
-			// cleared before each check so re-marks land in the next pass).
+			// Drain the dirty list into the spare buffer's place; checks
+			// may re-mark entries (the flag is cleared before each check so
+			// re-marks land in the next pass).
 			entries := e.dirty
-			e.dirty = nil
+			e.dirty = e.drain[:0]
 			// Deterministic processing order: packed keys sort (r, level, K).
 			sortDirty(entries)
 			for _, en := range entries {
 				r := dirtyRound(en.key)
-				en.x.round(r).dirty = false
+				en.x.rounds[r-1].dirty = false
 				e.check(en.x, r, quorum)
 			}
+			e.drain = entries[:0]
 		}
 		if !e.tryAdvance() {
 			break
@@ -656,40 +612,44 @@ func (e *Engine) settle() {
 
 // check runs the per-round state machine for one instance.
 func (e *Engine) check(x *inst, r int, quorum int) {
-	ir := x.round(r)
-	// Amplification: echo any value with t+1 support that we haven't echoed.
-	var ampVals []float64
+	ir := &x.rounds[r-1]
+	// Amplification: echo, in ascending value order, every value with t+1
+	// support that we haven't echoed.
+	var buf [4]float64
+	amp := buf[:0]
 	for i := range ir.echo1.sets {
-		if s := &ir.echo1.sets[i]; s.count >= e.cfg.F+1 && !ir.hasAmped(s.v) {
-			ampVals = append(ampVals, s.v)
+		if s := &ir.echo1.sets[i]; s.count >= e.cfg.F+1 && !s.amped {
+			s.amped = true
+			amp = append(amp, s.v)
 		}
 	}
-	sort.Float64s(ampVals)
-	for _, v := range ampVals {
-		ir.markAmped(v)
+	if len(amp) > 1 {
+		slices.Sort(amp)
+	}
+	for _, v := range amp {
 		e.pendAmp = append(e.pendAmp, IVal{ID: x.id, Round: uint16(r), V: v})
 	}
-	// ECHO2: first value to reach n-t ECHO1s, once per round. Deferred for
-	// rounds we have not opened yet (myInit is unknown until then); the
-	// round-opening path re-marks every instance dirty.
+	// ECHO2: the smallest value to reach n-t ECHO1s, once per round.
+	// Deferred for rounds we have not opened yet (myInit is unknown until
+	// then); the round-opening path re-marks every instance dirty.
 	if !ir.sentEcho2 && r <= e.round {
-		var e2vals []float64
+		found, v := false, 0.0
 		for i := range ir.echo1.sets {
-			if s := &ir.echo1.sets[i]; s.count >= quorum {
-				e2vals = append(e2vals, s.v)
+			if s := &ir.echo1.sets[i]; s.count >= quorum && (!found || s.v < v) {
+				found, v = true, s.v
 			}
 		}
-		if len(e2vals) > 0 {
-			sort.Float64s(e2vals)
-			v := e2vals[0]
+		if found {
 			ir.sentEcho2 = true
+			b := &e.books[r-1]
 			switch {
-			case v == 0 && e.sentZeros[r-1] && ir.myInit == 0:
+			case v == 0 && b.sentZeros && ir.myInit == 0:
 				// Our zeros bundle covers this instance (receivers apply
 				// zeros only where our announced init vote was 0).
-			case !e.cfg.DisableCompression && v == ir.myInit && e.compactIndex(x.id, r) >= 0:
+			case !e.cfg.DisableCompression && v == ir.myInit && ir.annPos > 0:
 				// Vote value equals our announced value: one bitmap bit.
-				e.pendE2CB[r] = setBit(e.pendE2CB[r], e.compactIndex(x.id, r))
+				b.e2cBits = setBit(b.e2cBits, ir.annPos-1)
+				e.pendE2C = true
 			default:
 				e.pendE2 = append(e.pendE2, IVal{ID: x.id, Round: uint16(r), V: v})
 			}
@@ -708,9 +668,7 @@ func (e *Engine) tryAdvance() bool {
 	// A round completes only once n-t init bundles and n-t zeros bundles
 	// for it have arrived — these are the implicit votes that decide every
 	// quiet (all-zero) checkpoint — and every active instance has decided.
-	if len(e.initCount) < e.round ||
-		e.initCount[e.round-1] < e.cfg.Quorum() ||
-		e.zerosCount[e.round-1] < e.cfg.Quorum() {
+	if b := &e.books[e.round-1]; b.count < e.cfg.Quorum() || b.zerosCount < e.cfg.Quorum() {
 		return false
 	}
 	for _, x := range e.instList {
@@ -740,42 +698,27 @@ func (e *Engine) tryAdvance() bool {
 	return true
 }
 
-// compactIndex returns this instance's position in our round-r announced
-// list, or -1 if it was not announced.
-func (e *Engine) compactIndex(id IID, r int) int {
-	if r > len(e.annIndex) || e.annIndex[r-1] == nil {
-		return -1
-	}
-	if i, ok := e.annIndex[r-1][id]; ok {
-		return i
-	}
-	return -1
-}
-
-// flush broadcasts staged amplification and ECHO2 entries as bundles.
+// flush broadcasts staged amplification and ECHO2 entries as bundles. The
+// staging buffers are reused; each message gets its own copy.
 func (e *Engine) flush() {
 	if len(e.pendAmp) > 0 {
-		vals := e.pendAmp
-		e.pendAmp = nil
-		e.env.Broadcast(&Echo1{Init: false, Vals: vals})
+		e.env.Broadcast(&Echo1{Init: false, Vals: slices.Clone(e.pendAmp)})
+		e.pendAmp = e.pendAmp[:0]
 	}
 	if len(e.pendE2) > 0 {
-		vals := e.pendE2
-		e.pendE2 = nil
-		e.env.Broadcast(&Echo2{Vals: vals})
+		e.env.Broadcast(&Echo2{Vals: slices.Clone(e.pendE2)})
+		e.pendE2 = e.pendE2[:0]
 	}
-	if len(e.pendE2CB) > 0 {
-		// Broadcast in ascending round order: map order would let the
-		// network-level message sequence vary between runs.
-		rounds := make([]int, 0, len(e.pendE2CB))
-		for r := range e.pendE2CB {
-			rounds = append(rounds, r)
+	if e.pendE2C {
+		// Broadcast in ascending round order, so the network-level message
+		// sequence is the same in every run.
+		e.pendE2C = false
+		for r := range e.books {
+			if b := &e.books[r]; b.e2cBits != nil {
+				e.env.Broadcast(&Echo2C{Round: uint16(r + 1), Bits: b.e2cBits})
+				b.e2cBits = nil
+			}
 		}
-		slices.Sort(rounds)
-		for _, r := range rounds {
-			e.env.Broadcast(&Echo2C{Round: uint16(r), Bits: e.pendE2CB[r]})
-		}
-		e.pendE2CB = make(map[int][]byte)
 	}
 }
 

@@ -25,7 +25,6 @@ package binaa
 
 import (
 	"fmt"
-	"sort"
 
 	"delphi/internal/node"
 )
@@ -41,6 +40,14 @@ type IID struct {
 // String implements fmt.Stringer.
 func (id IID) String() string { return fmt.Sprintf("L%d/K%d", id.Level, id.K) }
 
+// instKey packs an IID into a uint64 whose ascending order is the (level,
+// K) order: K's sign bit is flipped to map int32 ordering onto uint32
+// ordering. The engine's instance map and its dirty-drain keys use it, so
+// lookups hash one word instead of a padded struct.
+func instKey(id IID) uint64 {
+	return uint64(id.Level)<<32 | uint64(uint32(id.K)^0x80000000)
+}
+
 // instRound holds one instance's vote state for one round. The simulator
 // delivers millions of per-round votes in a paper-scale run, so the tallies
 // are bitsets and small value slices rather than maps (see bitset.go); the
@@ -48,7 +55,8 @@ func (id IID) String() string { return fmt.Sprintf("L%d/K%d", id.Level, id.K) }
 type instRound struct {
 	// echo1 tallies, per value, the nodes that ECHO1'd it (explicitly or
 	// implicitly). A node may legitimately echo several values
-	// (own state + amplified values).
+	// (own state + amplified values). Each tally's amped flag records that
+	// this node has itself echoed the value this round.
 	echo1 votes
 	// echo2 tallies, per value, the nodes whose ECHO2 counted for it.
 	echo2 votes
@@ -62,56 +70,31 @@ type instRound struct {
 	// explicit vote overrides a previously applied implicit zero, modelling
 	// message reordering).
 	echo2Explicit bitset
-	// amped records the values this node has itself echoed for this round.
-	amped []float64
+	// myInit is the value this node's init bundle cast for this round
+	// (0 for implicit votes). The zeros bundle only covers instances whose
+	// init vote was 0, so explicit ECHO2(0) may be skipped only then.
+	myInit float64
+	// decision holds the round's outcome once decided.
+	decision float64
+	// annPos is 1 + the instance's index in this node's round announcement
+	// (its bit in a compact ECHO2 bitmap), or 0 if it was not announced.
+	annPos int
 	// sentEcho2 records that this node cast its ECHO2 for this round
 	// (explicitly or via its zeros bundle).
 	sentEcho2 bool
 	// dirty marks membership in the engine's pending re-check list (the
 	// flag deduplicates marks without a hashed set).
 	dirty bool
-	// myInit is the value this node's init bundle cast for this round
-	// (0 for implicit votes). The zeros bundle only covers instances whose
-	// init vote was 0, so explicit ECHO2(0) may be skipped only then.
-	myInit float64
-	// decided / decision hold the round's outcome once reached.
-	decided  bool
-	decision float64
-}
-
-// newInstRound allocates one round's state for an n-node system. The three
-// sender bitsets share one backing array: one allocation instead of six
-// map headers per (instance, round).
-func newInstRound(n int) *instRound {
-	w := bitsetWords(n)
-	backing := make(bitset, 3*w)
-	return &instRound{
-		initConsumed:  backing[:w:w],
-		echo2From:     backing[w : 2*w : 2*w],
-		echo2Explicit: backing[2*w : 3*w : 3*w],
-	}
-}
-
-// hasAmped reports whether this node has already echoed v this round.
-func (ir *instRound) hasAmped(v float64) bool {
-	for _, a := range ir.amped {
-		if a == v {
-			return true
-		}
-	}
-	return false
+	// decided records that the round has reached its outcome.
+	decided bool
+	// slab backs the first slabEcho1 ECHO1 and slabEcho2 ECHO2 tallies,
+	// next to the rest of the round's state.
+	slab [slabTallies]voteSet
 }
 
 // markAmped records that this node echoed v this round.
-func (ir *instRound) markAmped(v float64) {
-	if !ir.hasAmped(v) {
-		ir.amped = append(ir.amped, v)
-	}
-}
-
-// addEcho1 records an ECHO1 vote; returns true if it was new.
-func (ir *instRound) addEcho1(from node.ID, v float64, n int) bool {
-	return ir.echo1.add(from, v, n)
+func (ir *instRound) markAmped(v float64, n int) {
+	ir.echo1.tally(v, n).amped = true
 }
 
 // addEcho2 records an ECHO2 vote subject to the once-per-sender rule;
@@ -134,9 +117,9 @@ func (ir *instRound) addEcho2(from node.ID, v float64, explicit bool, n int) boo
 }
 
 // tryDecide evaluates the two termination conditions. quorum is n-t.
-func (ir *instRound) tryDecide(quorum int) bool {
+func (ir *instRound) tryDecide(quorum int) {
 	if ir.decided {
-		return false
+		return
 	}
 	// Condition (2): one value with n-t ECHO2s. At most one value can reach
 	// the n-t majority (each sender votes once), so first-found is unique.
@@ -144,57 +127,87 @@ func (ir *instRound) tryDecide(quorum int) bool {
 		if s := &ir.echo2.sets[i]; s.count >= quorum {
 			ir.decided = true
 			ir.decision = s.v
-			return true
+			return
 		}
 	}
-	// Condition (1): two values with n-t ECHO1s each.
-	var qualifying []float64
+	// Condition (1): two values with n-t ECHO1s each; the next state is the
+	// midpoint of the extreme qualifying values.
+	qualifying, lo, hi := 0, 0.0, 0.0
 	for i := range ir.echo1.sets {
 		if s := &ir.echo1.sets[i]; s.count >= quorum {
-			qualifying = append(qualifying, s.v)
+			if qualifying == 0 || s.v < lo {
+				lo = s.v
+			}
+			if qualifying == 0 || s.v > hi {
+				hi = s.v
+			}
+			qualifying++
 		}
 	}
-	if len(qualifying) >= 2 {
-		sort.Float64s(qualifying)
-		lo, hi := qualifying[0], qualifying[len(qualifying)-1]
+	if qualifying >= 2 {
 		ir.decided = true
 		ir.decision = (lo + hi) / 2
-		return true
 	}
-	return false
 }
+
+// Per-round slab layout: every round gets slabEcho1 ECHO1 and slabEcho2
+// ECHO2 tallies with pre-assigned bitsets. An honest round sees at most two
+// distinct values per tally kind (the two adjacent round states); further
+// values, which only Byzantine votes or fractional test inputs produce,
+// allocate their own tally.
+const (
+	slabEcho1   = 2
+	slabEcho2   = 2
+	slabTallies = slabEcho1 + slabEcho2
+	// slabBitsets counts the bitsets per round: the three sender sets
+	// (initConsumed, echo2From, echo2Explicit) plus one per slab tally.
+	slabBitsets = 3 + slabTallies
+)
 
 // inst is the per-instance state across rounds.
 type inst struct {
 	id IID
-	// n is the node universe size (sizes the per-round bitsets).
-	n int
+	// key is instKey(id).
+	key uint64
 	// state is this node's current-round state value.
 	state float64
-	// joined is the round at which this node began explicit participation
-	// (1 for instances in the node's own input set; the activation round
-	// for late-activated instances, which join with state 0).
-	joined int
-	// rounds[r-1] is the vote state of round r. Grown on demand.
-	rounds []*instRound
-	// gen and genNonzero implement the engine's per-bundle membership
-	// marks: an instance with gen equal to the engine's current generation
-	// was listed in the bundle being applied (genNonzero: with a non-zero
-	// value). This replaces a per-bundle IID-keyed map — the bundle loops
-	// run per sender per round over every instance, so map hashing there
-	// dominated whole-run profiles.
-	gen        uint64
-	genNonzero bool
+	// rounds[r-1] is the vote state of round r. All cfg.Rounds rounds are
+	// allocated when the instance is created, their bitsets carved from
+	// one backing array.
+	rounds []instRound
+	// gen and genV implement the engine's per-bundle membership marks: an
+	// instance with gen equal to the engine's current generation was listed
+	// in the bundle being applied, first with value genV. This replaces a
+	// per-bundle IID-keyed map — the bundle loops run per sender per round
+	// over every instance, so map hashing there dominated whole-run
+	// profiles.
+	gen  uint64
+	genV float64
 }
 
-func (x *inst) round(r int) *instRound {
-	for len(x.rounds) < r {
-		x.rounds = append(x.rounds, newInstRound(x.n))
+// newInst allocates an instance's state for an n-node, rounds-round run:
+// three allocations (the instance, the round array and one bitset backing
+// array) regardless of the round count.
+func newInst(id IID, n, rounds int, state float64) *inst {
+	x := &inst{id: id, key: instKey(id), state: state, rounds: make([]instRound, rounds)}
+	w := bitsetWords(n)
+	words := make(bitset, rounds*slabBitsets*w)
+	next := func() bitset {
+		b := words[:w:w]
+		words = words[w:]
+		return b
 	}
-	return x.rounds[r-1]
+	for r := range x.rounds {
+		ir := &x.rounds[r]
+		ir.initConsumed, ir.echo2From, ir.echo2Explicit = next(), next(), next()
+		for i := range ir.slab {
+			ir.slab[i].set = next()
+		}
+		ir.echo1.sets = ir.slab[:0:slabEcho1]
+		ir.echo2.sets = ir.slab[slabEcho1:slabEcho1:slabTallies]
+	}
+	return x
 }
 
-// decidedThrough reports whether round r has decided.
-func (x *inst) decidedRound(r int) bool {
-	return len(x.rounds) >= r && x.rounds[r-1].decided
-}
+// decidedRound reports whether round r has decided.
+func (x *inst) decidedRound(r int) bool { return x.rounds[r-1].decided }

@@ -216,11 +216,13 @@ func TestFanoutConcurrentChurn(t *testing.T) {
 					return
 				default:
 				}
+				// Publish under seq: round numbers must reach the fan-out
+				// in the order they were assigned, or the ordering check
+				// below would flag the publishers' race, not the fan-out.
 				seq.Lock()
-				r := next
+				f.Publish(feeds.Update{Round: next})
 				next++
 				seq.Unlock()
-				f.Publish(feeds.Update{Round: r})
 			}
 		}()
 	}

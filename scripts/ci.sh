@@ -32,6 +32,14 @@ go build ./...
 echo "== go test -race =="
 go test -race ${short_flag:+"$short_flag"} ./...
 
+# BinAA allocation budget: replaying a seed-1 Delphi n=16 sim run's
+# deliveries must stay within 8 allocations and 800 bytes per delivered
+# message. The race detector instruments allocations, so the test file is
+# built only without -race and the -race run above skips it: it runs here,
+# explicitly, on every invocation (including -short).
+echo "== alloc budget gate =="
+go test ./internal/binaa -count=1 -run 'TestAllocBudget'
+
 # The adversary scenario axis is exercised on every run (including -short,
 # where the heavy bench tests skip): a quick-scale sweep of the named
 # DelayRule presets across protocols, run twice to hold the byte-identical
