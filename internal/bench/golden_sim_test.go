@@ -66,12 +66,55 @@ func goldenLine(spec RunSpec, st *RunStats) string {
 // TestSimGoldenByteIdentity is the fixed-seed byte-identity gate: the
 // simulator's outputs for every protocol under every adversary preset must
 // match the checked-in golden file bit for bit. The goldens were generated
-// from the pre-fast-path simulator (the container/heap implementation), so a
-// pass certifies that the inlined-heap fast path reproduces the original
-// schedule exactly. Regenerate with -update-golden only for a change that
-// deliberately alters the simulated schedule.
+// from the original container/heap simulator, so a pass certifies that the
+// current event queue reproduces that schedule exactly. Regenerate with
+// -update-golden only for a change that deliberately alters the simulated
+// schedule.
 func TestSimGoldenByteIdentity(t *testing.T) {
-	specs := goldenSimCells()
+	checkGolden(t, "golden_sim.txt", goldenSimCells())
+}
+
+// goldenScaleCells is the scale byte-identity corpus: Dolev at n=400 with
+// ScaleSweep's quick parameters, clean and under every netadv preset, plus
+// Delphi at n=40 on the oracle parameters. At this size hundreds of
+// thousands of events are in flight at once, and the presets' long delays
+// reach past the event queue's near horizon, so these cells pin the queue's
+// far-future path and its bucket boundaries, which the n≤8 corpus above
+// barely touches.
+func goldenScaleCells() []RunSpec {
+	const seed = 424242
+	quick := core.Params{S: 0, E: 100000, Rho0: 2, Delta: 8, Eps: 2}
+	var specs []RunSpec
+	for _, adv := range append([]netadv.Adversary{{}}, netadv.Presets()...) {
+		sc := Scenario{
+			Protocol: ProtoDolev, N: 400, F: (400 - 1) / 5, Env: sim.AWS(),
+			Params: quick, Center: 41000, Delta: 8, Adversary: adv,
+		}
+		specs = append(specs, sc.Spec(seed, 0))
+	}
+	sc := Scenario{
+		Protocol: ProtoDelphi, N: 40, Env: sim.AWS(),
+		Params: OracleDefaultParams(), Center: 41000, Delta: 20,
+	}
+	return append(specs, sc.Spec(seed, 0))
+}
+
+// TestSimGoldenScale is the byte-identity gate at scale: the cells of
+// goldenScaleCells must reproduce testdata/golden_sim_scale.txt bit for bit.
+// The file was recorded with the global 4-ary heap as the sequential event
+// queue, so a pass certifies that the queue replacing it pops in exactly
+// the same order.
+func TestSimGoldenScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale goldens run Dolev at n=400 (seconds); skipped in -short")
+	}
+	checkGolden(t, "golden_sim_scale.txt", goldenScaleCells())
+}
+
+// checkGolden runs every spec and compares the rendered lines against
+// testdata/<name>, or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, name string, specs []RunSpec) {
+	t.Helper()
 	var lines []string
 	for _, spec := range specs {
 		st, err := Run(spec)
@@ -82,7 +125,7 @@ func TestSimGoldenByteIdentity(t *testing.T) {
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
-	path := filepath.Join("testdata", "golden_sim.txt")
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -108,6 +151,6 @@ func TestSimGoldenByteIdentity(t *testing.T) {
 		if len(gl) != len(wl) {
 			t.Errorf("cell count diverged: got %d, want %d lines", len(gl), len(wl))
 		}
-		t.Fatal("simulator outputs are not byte-identical to the golden schedule")
+		t.Fatalf("simulator outputs are not byte-identical to %s", path)
 	}
 }
