@@ -3,7 +3,7 @@ package aaa
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"delphi/internal/node"
 	"delphi/internal/obs"
@@ -52,8 +52,16 @@ type Dolev struct {
 	roundAt int64
 	value   float64
 	round   int
-	vals    map[int]map[node.ID]float64
+	rounds  []dolevRound // indexed by round number; consumed rounds are dropped
 	done    bool
+}
+
+// dolevRound is one round's collected state: a bitset of the senders heard
+// and their values in arrival order. The values are sorted before use, so
+// arrival order never reaches the output.
+type dolevRound struct {
+	seen []uint64
+	vals []float64
 }
 
 var _ node.Process = (*Dolev)(nil)
@@ -66,7 +74,7 @@ func NewDolev(cfg DolevConfig, input float64) (*Dolev, error) {
 	if math.IsNaN(input) || math.IsInf(input, 0) {
 		return nil, fmt.Errorf("aaa: input must be finite, got %g", input)
 	}
-	return &Dolev{cfg: cfg, value: input, vals: make(map[int]map[node.ID]float64)}, nil
+	return &Dolev{cfg: cfg, value: input, rounds: make([]dolevRound, cfg.Rounds+1)}, nil
 }
 
 // Init implements node.Process.
@@ -85,37 +93,37 @@ func (d *Dolev) Deliver(from node.ID, m node.Message) {
 		return
 	}
 	r := int(msg.Round)
-	if r < 1 || r > d.cfg.Rounds {
+	// A value for a round already consumed can no longer change the output.
+	if r < 1 || r < d.round || r > d.cfg.Rounds || from < 0 || int(from) >= d.cfg.N {
 		return
 	}
-	rv := d.vals[r]
-	if rv == nil {
-		rv = make(map[node.ID]float64)
-		d.vals[r] = rv
+	rs := &d.rounds[r]
+	if rs.seen == nil {
+		rs.seen = make([]uint64, (d.cfg.N+63)/64)
+		rs.vals = make([]float64, 0, d.cfg.N)
 	}
-	if _, dup := rv[from]; dup {
+	w, bit := from/64, uint64(1)<<(from%64)
+	if rs.seen[w]&bit != 0 {
 		return
 	}
-	rv[from] = msg.V
+	rs.seen[w] |= bit
+	rs.vals = append(rs.vals, msg.V)
 	d.progress()
 }
 
 func (d *Dolev) progress() {
 	quorum := d.cfg.N - d.cfg.F
 	for !d.done {
-		rv := d.vals[d.round]
-		if len(rv) < quorum {
+		vals := d.rounds[d.round].vals
+		if len(vals) < quorum {
 			return
 		}
-		vals := make([]float64, 0, len(rv))
-		for _, v := range rv {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
+		slices.Sort(vals)
 		trim := 2 * d.cfg.F
 		trimmed := vals[trim : len(vals)-trim]
 		d.value = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
-		d.track.Span("aaa.round", d.roundAt, int64(d.round), int64(len(rv)))
+		d.rounds[d.round] = dolevRound{}
+		d.track.Span("aaa.round", d.roundAt, int64(d.round), int64(len(vals)))
 		d.roundAt = d.track.Now()
 		if d.round >= d.cfg.Rounds {
 			d.done = true

@@ -102,13 +102,18 @@ func goldenScaleCells() []RunSpec {
 // TestSimGoldenScale is the byte-identity gate at scale: the cells of
 // goldenScaleCells must reproduce testdata/golden_sim_scale.txt bit for bit.
 // The file was recorded with the global 4-ary heap as the sequential event
-// queue, so a pass certifies that the queue replacing it pops in exactly
-// the same order.
+// queue, so a pass certifies that the calendar queue replacing it pops in
+// exactly the same order, including events that wait past its ring's
+// horizon — which at least one cell must produce.
 func TestSimGoldenScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale goldens run Dolev at n=400 (seconds); skipped in -short")
 	}
+	spills := sim.OverflowSpills()
 	checkGolden(t, "golden_sim_scale.txt", goldenScaleCells())
+	if sim.OverflowSpills() == spills {
+		t.Error("no scale cell sent an event through the event queue's overflow heap")
+	}
 }
 
 // checkGolden runs every spec and compares the rendered lines against

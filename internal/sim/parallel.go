@@ -11,15 +11,12 @@
 // the previous window, processes its slice of the current window, and
 // stages its own sends for the next.
 //
-// Each shard keeps its pending events in a calendar queue — a ring of
-// ringBuckets bucket slices, one per lookahead window — instead of a global
-// heap. Appends are O(1) into a contiguous slab and a window's events are
-// sorted and scanned in one linear pass, so the executor also replaces the
-// sequential mode's cache-hostile 4-ary heap walks (tens of MB of heap at
-// n=1000) with sequential memory traffic. Events beyond the ring horizon
+// Each shard keeps its pending events in its own calendar (calendar.go, the
+// same structure the sequential queue uses) with one bucket per lookahead
+// window: appends are O(1) into pooled blocks and a window's events are
+// sorted and scanned in one linear pass. Events beyond the ring horizon
 // (ringBuckets windows ahead — partition heals and Pareto jitter tails)
-// spill into a per-shard overflow min-heap and drain back as the ring
-// advances.
+// wait in the calendar's overflow heap and drain back as the ring advances.
 //
 // Determinism: event order is the total order (to, at, seq) with per-sender
 // sequence numbers, each node draws latency jitter from its own
@@ -40,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"delphi/internal/node"
@@ -52,7 +48,6 @@ const (
 	// the AWS floor (0.4 ms) the ring spans ~3.3 s of virtual time, beyond
 	// the largest preset delay (jitter cap 3 s); farther events overflow.
 	ringBuckets = 8192
-	ringMask    = ringBuckets - 1
 	// seqShift packs per-sender sequence numbers as seq<<seqShift|sender,
 	// bounding parallel runs to 2^seqShift nodes.
 	seqShift   = 20
@@ -135,12 +130,10 @@ type shard struct {
 	id     int
 	lo, hi int // node range [lo, hi)
 
-	ring     [][]event // calendar: bucket idx -> events, slot = idx & ringMask
-	base     int64     // lowest admissible bucket; valid range [base, base+ringBuckets)
-	occupied int       // events currently in the ring
-	overflow eventHeap // events beyond the ring horizon
-	sortBuf  []event   // counting-sort scatter scratch (one bucket's worth)
-	counts   []int32   // per-destination counts, len hi-lo
+	cal     calendar // pending events, one bucket per window
+	bucket  []event  // the window's events as taken from cal
+	sortBuf []event  // counting-sort scatter scratch (one bucket's worth)
+	counts  []int32  // per-destination counts, len hi-lo
 
 	// staged[k&1][dest] buffers sends made during window k; dest merges it
 	// during window k+1 and the owner resets it during window k+2, so one
@@ -174,10 +167,9 @@ type shard struct {
 	obsNow int64
 
 	// retained-capacity peaks for the scratch shrink rule
-	bucketPeak   int
-	stagedPeak   int
-	overflowPeak int
-	outPeak      int
+	bucketPeak int
+	stagedPeak int
+	outPeak    int
 
 	envs []parEnv
 
@@ -220,7 +212,6 @@ func newParScratch(workers, n int) *parScratch {
 			id:     s,
 			lo:     lo,
 			hi:     hi,
-			ring:   make([][]event, ringBuckets),
 			envs:   make([]parEnv, hi-lo),
 			counts: make([]int32, hi-lo),
 		}
@@ -296,7 +287,7 @@ func (r *Runner) setupParallel(seed int64) error {
 	}
 	for _, sh := range ps.shards {
 		sh.pr = pr
-		sh.base = 0
+		sh.cal.reset(width, ringBuckets)
 		sh.curBucket = -1
 		sh.parity = 0
 		sh.minStaged = math.MaxInt64
@@ -309,7 +300,6 @@ func (r *Runner) setupParallel(seed int64) error {
 		sh.lastAt = 0
 		sh.bucketPeak = 0
 		sh.stagedPeak = 0
-		sh.overflowPeak = 0
 		sh.outPeak = 0
 		sh.tracks = nil
 		sh.obsNow = 0
@@ -523,7 +513,7 @@ func (sh *shard) runInit() {
 		sh.endStep(node.ID(i), 0, 0)
 	}
 	// Same-shard init sends were enqueued directly; report them.
-	sh.nextB = sh.nextBucket(0)
+	sh.nextB = sh.cal.nextBucket(0)
 }
 
 // runWindow executes window k over calendar bucket b.
@@ -538,18 +528,14 @@ func (sh *shard) runWindow(k, b int64) {
 	// Advance the ring horizon and pull newly admissible overflow back in.
 	// b never undercuts an unprocessed event's bucket (the coordinator's
 	// window minimum includes every shard's calendar and staging).
-	sh.base = b
-	for len(sh.overflow) > 0 && int64(sh.overflow[0].at/sh.pr.width) < b+ringBuckets {
-		e := sh.overflow.pop()
-		sh.enqueueAt(e, int64(e.at/sh.pr.width))
-	}
+	sh.cal.advance(b)
 
 	// Merge the sends every shard staged for us during window k-1 (parity
 	// p^1; the barrier orders those writes before these reads).
 	for _, t := range sh.pr.shards {
 		buf := t.staged[p^1][sh.id]
 		for i := range buf {
-			sh.enqueue(buf[i])
+			sh.cal.push(buf[i], sh.cal.bucket(buf[i].at))
 		}
 	}
 
@@ -570,9 +556,9 @@ func (sh *shard) runWindow(k, b int64) {
 	// sort by destination node followed by per-destination (at, seq) sorts:
 	// destinations are a small contiguous range and per-destination groups
 	// are tiny, so this replaces a generic comparison sort's closure calls
-	// over 48-byte elements with two linear passes.
-	slot := &sh.ring[b&ringMask]
-	evs := sh.sortBucket(*slot)
+	// over 40-byte elements with two linear passes.
+	sh.bucket = sh.cal.take(b, sh.bucket[:0])
+	evs := sh.sortBucket(sh.bucket)
 	for i := range evs {
 		e := &evs[i]
 		if e.at > sh.lastAt {
@@ -586,15 +572,14 @@ func (sh *shard) runWindow(k, b int64) {
 	if len(evs) > sh.bucketPeak {
 		sh.bucketPeak = len(evs)
 	}
-	sh.occupied -= len(*slot)
-	clear(*slot)
-	*slot = (*slot)[:0]
+	clear(sh.bucket)
+	sh.bucket = sh.bucket[:0]
 	if len(sh.sortBuf) > 0 {
 		clear(sh.sortBuf)
 		sh.sortBuf = sh.sortBuf[:0]
 	}
 
-	sh.nextB = sh.nextBucket(b + 1)
+	sh.nextB = sh.cal.nextBucket(b + 1)
 }
 
 // sortBucket returns the bucket's events in (to, at, seq) order. Buckets
@@ -609,7 +594,7 @@ func (sh *shard) sortBucket(evs []event) []event {
 	if len(evs) < 2 {
 		return evs
 	}
-	lo := node.ID(sh.lo)
+	lo := int32(sh.lo)
 	counts := sh.counts
 	clear(counts)
 	oneDest := true
@@ -653,94 +638,25 @@ func (sh *shard) sortBucket(evs []event) []event {
 	return buf
 }
 
-// sortGroup orders one destination's events by (at, seq): insertion sort
-// for the common tiny group, generic sort beyond it.
-func sortGroup(g []event) {
-	if len(g) > 48 {
-		slices.SortFunc(g, func(a, b event) int {
-			if a.at != b.at {
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			}
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-		return
-	}
-	for i := 1; i < len(g); i++ {
-		e := g[i]
-		j := i - 1
-		for j >= 0 && (g[j].at > e.at || (g[j].at == e.at && g[j].seq > e.seq)) {
-			g[j+1] = g[j]
-			j--
-		}
-		g[j+1] = e
-	}
-}
-
-// enqueue routes an event into the calendar ring or the overflow heap.
-func (sh *shard) enqueue(e event) {
-	sh.enqueueAt(e, int64(e.at/sh.pr.width))
-}
-
-func (sh *shard) enqueueAt(e event, idx int64) {
-	if idx >= sh.base+ringBuckets {
-		sh.overflow.push(e)
-		if len(sh.overflow) > sh.overflowPeak {
-			sh.overflowPeak = len(sh.overflow)
-		}
-		return
-	}
-	slot := &sh.ring[idx&ringMask]
-	*slot = append(*slot, e)
-	sh.occupied++
-}
-
-// nextBucket returns the shard's earliest non-empty bucket at or after
-// `from`, or MaxInt64 when the shard is drained. The forward scan is
-// bounded by the ring span and amortised by the monotonic advance of the
-// window sequence.
-func (sh *shard) nextBucket(from int64) int64 {
-	nb := int64(math.MaxInt64)
-	if sh.occupied > 0 {
-		for i := from; ; i++ {
-			if len(sh.ring[i&ringMask]) > 0 {
-				nb = i
-				break
-			}
-		}
-	}
-	if len(sh.overflow) > 0 {
-		if o := int64(sh.overflow[0].at / sh.pr.width); o < nb {
-			nb = o
-		}
-	}
-	return nb
-}
-
 // deliver processes one delivery on this shard (the parallel counterpart of
 // Runner.deliver; run-termination is the coordinator's job).
 func (sh *shard) deliver(e *event) {
 	r := sh.pr.r
 	sh.obsNow = int64(e.at)
-	to := e.to
+	from, to := node.ID(e.from), node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return
 	}
 	if sh.histSent != nil {
 		sh.histDelivered++
-		sh.histSent[e.from]++
+		sh.histSent[from]++
 		sh.histRecv[to]++
 	}
 	sh.events++
 	r.stats[to].MsgsRecv++
 	size := e.msg.WireSize() + r.macBytes
 	sh.beginStep(to)
-	r.procs[to].Deliver(e.from, e.msg)
+	r.procs[to].Deliver(from, e.msg)
 	sh.endStep(to, e.at, r.env.Cost.messageCost(size))
 }
 
@@ -798,7 +714,7 @@ func (sh *shard) stageSend(from, to node.ID, m node.Message) {
 // latency, and delay-rule arithmetic, but jitter comes from the sender's
 // own RNG stream, the sequence number is per-sender (worker-count
 // independent), and the event is staged for its destination shard instead
-// of pushed on a global heap.
+// of pushed on the one global queue.
 func (sh *shard) dispatch(from, to node.ID, m node.Message, ready time.Duration) {
 	r := sh.pr.r
 	size := m.WireSize() + r.macBytes
@@ -818,7 +734,7 @@ func (sh *shard) dispatch(from, to node.ID, m node.Message, ready time.Duration)
 		at += r.delayRule(start+tx, from, to, m)
 	}
 	ns.sendSeq++
-	sh.stage(event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: from, to: to, msg: m})
+	sh.stage(event{at: at, seq: ns.sendSeq<<seqShift | uint64(from), from: int32(from), to: int32(to), msg: m})
 	st := &r.stats[from]
 	st.MsgsSent++
 	st.BytesSent += int64(size)
@@ -831,7 +747,7 @@ func (sh *shard) stage(e event) {
 	idx := int64(e.at / sh.pr.width)
 	if idx <= sh.curBucket {
 		if sh.viol == nil {
-			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: e.from, to: e.to}
+			sh.viol = &causalityViolation{at: e.at, bucket: idx, window: sh.curBucket, from: node.ID(e.from), to: node.ID(e.to)}
 		}
 		return
 	}
@@ -840,7 +756,7 @@ func (sh *shard) stage(e event) {
 		// Same-shard traffic skips the staging round-trip: straight into
 		// our own calendar (sortBucket restores the total order, and the
 		// end-of-phase nextBucket scan reports it to the coordinator).
-		sh.enqueueAt(e, idx)
+		sh.cal.push(e, idx)
 		return
 	}
 	if idx < sh.minStaged {
@@ -857,14 +773,9 @@ func (pr *parRunner) handback(s *Scratch) {
 		return
 	}
 	for _, sh := range pr.shards {
-		for i := range sh.ring {
-			buf := sh.ring[i]
-			clear(buf)
-			sh.ring[i] = shrunk(buf, sh.bucketPeak)
-		}
-		sh.occupied = 0
-		clear(sh.overflow)
-		sh.overflow = shrunk(sh.overflow, sh.overflowPeak)
+		sh.cal.handback()
+		clear(sh.bucket)
+		sh.bucket = shrunk(sh.bucket, sh.bucketPeak)
 		for p := range sh.staged {
 			for d := range sh.staged[p] {
 				buf := sh.staged[p][d]

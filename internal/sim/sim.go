@@ -14,22 +14,23 @@
 // so every experiment is reproducible.
 //
 // The event loop is built for sweep throughput: the pending-delivery queue
-// is an inlined 4-ary heap over event values (no per-event allocation, no
-// interface boxing through container/heap), per-node bookkeeping lives in
-// one contiguous nodeState slab (one cache line of state per node instead
-// of three parallel slices), each node's Env is allocated once per run, and
-// a delivery is dispatched by a direct Deliver call with no per-event
-// closure. A session-scoped caller can reuse the queue and per-node
-// bookkeeping across runs via Scratch. The pop order of the heap is fully
-// determined by the (time, sequence) total order, so none of this changes a
-// single scheduled delivery: fixed-seed runs are byte-identical to the
-// original container/heap implementation (pinned by
-// bench.TestSimGoldenByteIdentity).
+// is a calendar queue (calendar.go) whose bucket width is the latency
+// model's floor, so a bucket is appended to in O(1), sorted once when the
+// loop reaches it and then drained in one linear pass, instead of every
+// event walking a global heap that at n=1000 holds a million entries.
+// Per-node bookkeeping lives in one contiguous nodeState slab (one cache
+// line of state per node instead of three parallel slices), each node's
+// Env is allocated once per run, and a delivery is dispatched by a direct
+// Deliver call with no per-event closure. A session-scoped caller can
+// reuse the queue and per-node bookkeeping across runs via Scratch. The
+// queue pops in exactly the (time, sequence) total order of the original
+// container/heap implementation, so none of this changes a single
+// scheduled delivery: fixed-seed runs are byte-identical to it (pinned by
+// bench.TestSimGoldenByteIdentity and, at n=400, bench.TestSimGoldenScale).
 //
-// For runs at n=1000+ the sequential loop is no longer the ceiling: an
-// opt-in conservative-window parallel mode (WithParallelWindow) shards the
-// nodes across a worker pool and executes each minimum-network-delay window
-// of causally independent events concurrently; see parallel.go.
+// An opt-in conservative-window parallel mode (WithParallelWindow) shards
+// the nodes across a worker pool and executes each minimum-network-delay
+// window of causally independent events concurrently; see parallel.go.
 package sim
 
 import (
@@ -42,17 +43,18 @@ import (
 )
 
 // event is a message delivery scheduled at a virtual time. Events are
-// stored by value in the runner's heap.
+// stored by value in the runner's queue; the node IDs are packed to 32 bits
+// so an event is 40 bytes, not 48.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker for determinism
-	from node.ID
-	to   node.ID
+	from int32
+	to   int32
 	msg  node.Message
 }
 
 // before reports whether e is scheduled strictly before o. seq is unique,
-// so this is a total order and the heap's pop sequence is independent of
+// so this is a total order and a queue's pop sequence is independent of
 // its internal layout.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
@@ -62,9 +64,10 @@ func (e *event) before(o *event) bool {
 }
 
 // eventHeap is an inlined 4-ary min-heap of events ordered by (at, seq).
-// It backs the sequential runner's pending queue and each parallel shard's
-// beyond-horizon overflow; the value layout and the manual sift loops are
-// what keep heap maintenance allocation-free.
+// It holds the calendar's beyond-horizon overflow and the sequential
+// queue's pushes into the bucket being drained — both small — and is the
+// reference order the sequential queue is tested against. The value
+// layout and the manual sift loops keep heap maintenance allocation-free.
 type eventHeap []event
 
 // push adds e to the heap.
@@ -278,10 +281,10 @@ func (r *Result) Outputs(ids []node.ID) []any {
 // from its inputs (see internal/netadv for seed-deterministic presets).
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
-// Scratch is a Runner's reusable storage: the event queue's backing array
-// (the freelist that replaces per-event allocation entirely), the per-node
-// bookkeeping slab, and — for parallel runs — the per-shard calendar
-// arenas. A session-scoped caller hands the same Scratch to consecutive
+// Scratch is a Runner's reusable storage: the event queue's calendar ring
+// and block store (the freelist that replaces per-event allocation
+// entirely), the per-node bookkeeping slab, and — for parallel runs — the
+// per-shard calendars. A session-scoped caller hands the same Scratch to consecutive
 // NewRunner calls so a thousand-trial sweep performs the growth allocations
 // once instead of once per trial. A Scratch must not be shared by
 // concurrently running Runners; reuse never changes results (every buffer
@@ -294,8 +297,7 @@ type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Dur
 // its high-water storage once the sweep returns to paper-scale cells, while
 // steady-state sweeps sit inside the 8x hysteresis band and never thrash.
 type Scratch struct {
-	queue   eventHeap
-	batch   []event
+	queue   seqQueue
 	nodes   []nodeState
 	outMsgs []outMsg
 	rng     *rand.Rand
@@ -326,16 +328,13 @@ func shrunk[T any](buf []T, peak int) []T {
 }
 
 // retainedEvents reports the scratch's total retained event-slot capacity
-// (queue, batch, and parallel arenas); it is the shrink policy's observable
-// for tests.
+// (sequential queue and parallel arenas); it is the shrink policy's
+// observable for tests.
 func (s *Scratch) retainedEvents() int {
-	total := cap(s.queue) + cap(s.batch)
+	total := s.queue.retained()
 	if s.par != nil {
 		for _, sh := range s.par.shards {
-			total += cap(sh.overflow) + cap(sh.sortBuf)
-			for _, b := range sh.ring {
-				total += cap(b)
-			}
+			total += sh.cal.retained() + cap(sh.bucket) + cap(sh.sortBuf)
 			for p := range sh.staged {
 				for _, b := range sh.staged[p] {
 					total += cap(b)
@@ -353,10 +352,7 @@ type Runner struct {
 	rng   *rand.Rand
 	procs []node.Process
 
-	queue     eventHeap // pending deliveries ordered by (at, seq)
-	queuePeak int
-	batch     []event // batched-delivery scratch
-	batchPeak int
+	queue     seqQueue // pending deliveries, popped in (at, seq) order
 	seq       uint64
 	now       time.Duration
 	nodes     []nodeState // per-node bookkeeping slab
@@ -367,7 +363,6 @@ type Runner struct {
 	history   *History
 	maxTime   time.Duration
 	events    int
-	batched   bool
 	scratch   *Scratch
 
 	// Parallel-mode knobs (WithParallelWindow / WithLookahead) and the
@@ -426,19 +421,6 @@ func WithHistory(h *History) Option {
 // passes the bound (protects tests against liveness bugs).
 func WithMaxTime(d time.Duration) Option {
 	return func(rn *Runner) { rn.maxTime = d }
-}
-
-// WithBatchedDelivery processes all deliveries sharing a virtual timestamp
-// as one wave: the run of equal-time events is drained from the heap before
-// any of them is dispatched, so the loop touches the heap in bursts and a
-// same-instant flood (a broadcast arriving over zero-jitter links, a
-// partition heal releasing a batch) stays cache-resident. Delivery order
-// within a wave is still (time, seq) order — newly scheduled events always
-// carry later sequence numbers than the drained wave — so batched runs are
-// byte-identical to unbatched runs at every seed. The parallel mode ignores
-// this option: its window executor already processes whole time windows.
-func WithBatchedDelivery() Option {
-	return func(rn *Runner) { rn.batched = true }
 }
 
 // WithRecorder attaches an observability recorder: the runner creates one
@@ -519,8 +501,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		// Adopt the scratch buffers; Run hands them back (grown) when the
 		// run completes. Stats and envs are never pooled: Result escapes
 		// with the stats, and processes may retain their Env beyond the run.
-		r.queue = s.queue[:0]
-		r.batch = s.batch[:0]
+		r.queue = s.queue
 		r.nodes = resetNodes(s.nodes, cfg.N)
 		r.curOutMsgs = s.outMsgs[:0]
 		if s.rng != nil {
@@ -551,6 +532,7 @@ func NewRunner(cfg node.Config, env Environment, seed int64, procs []node.Proces
 		}
 		return r, nil
 	}
+	r.queue.reset(bucketWidth(env.Latency))
 	r.envs = make([]simEnv, cfg.N)
 	for i := range r.envs {
 		r.envs[i] = simEnv{r: r, id: node.ID(i)}
@@ -651,10 +633,7 @@ func (r *Runner) dispatch(from, to node.ID, m node.Message, ready time.Duration)
 		at += r.delayRule(start+tx, from, to, m)
 	}
 	r.seq++
-	r.queue.push(event{at: at, seq: r.seq, from: from, to: to, msg: m})
-	if len(r.queue) > r.queuePeak {
-		r.queuePeak = len(r.queue)
-	}
+	r.queue.push(event{at: at, seq: r.seq, from: int32(from), to: int32(to), msg: m})
 	st := &r.stats[from]
 	st.MsgsSent++
 	st.BytesSent += int64(size)
@@ -708,19 +687,19 @@ func (r *Runner) deliver(e *event) bool {
 	if r.now > r.maxTime {
 		return false
 	}
-	to := e.to
+	from, to := node.ID(e.from), node.ID(e.to)
 	if r.nodes[to].halted || r.procs[to] == nil {
 		return true
 	}
 	if h := r.history; h != nil {
 		h.observe(e.at)
-		h.record(e.from, to)
+		h.record(from, to)
 	}
 	r.events++
 	r.stats[to].MsgsRecv++
 	size := e.msg.WireSize() + r.macBytes
 	r.beginStep(to)
-	r.procs[to].Deliver(e.from, e.msg)
+	r.procs[to].Deliver(from, e.msg)
 	r.endStep(to, e.at, r.env.Cost.messageCost(size))
 	return r.live > 0
 }
@@ -740,16 +719,15 @@ func (r *Runner) Run() *Result {
 			p.Init(&r.envs[i])
 			r.endStep(node.ID(i), 0, 0)
 		}
-		if r.batched {
-			r.runBatched()
-		} else {
-			for len(r.queue) > 0 {
-				e := r.queue.pop()
-				if !r.deliver(&e) {
-					break
-				}
+		for {
+			e, ok := r.queue.pop()
+			if !ok || !r.deliver(&e) {
+				break
 			}
 		}
+	}
+	if n := r.queue.cal.spills; r.par == nil && n > 0 {
+		overflowSpills.Add(int64(n))
 	}
 	res := &Result{Stats: r.stats, Time: r.now, Events: r.events}
 	for i := range r.stats {
@@ -770,37 +748,15 @@ func (r *Runner) Run() *Result {
 		// peak occupancy left them mostly idle. Remaining events and the
 		// staged-send buffer's capacity region hold message references;
 		// drop them so the scratch retains only bare storage.
-		clear(r.queue)
-		clear(r.batch)
 		clear(r.curOutMsgs[:cap(r.curOutMsgs)])
-		s.queue = shrunk(r.queue, r.queuePeak)
-		s.batch = shrunk(r.batch, r.batchPeak)
 		s.nodes = shrunk(r.nodes, r.cfg.N)
 		s.outMsgs = shrunk(r.curOutMsgs, r.outPeak)
 		if r.par != nil {
 			r.par.handback(s)
+		} else {
+			r.queue.handback()
+			s.queue = r.queue
 		}
 	}
 	return res
-}
-
-// runBatched is the batched-delivery loop: drain the run of equal-time
-// events, then dispatch the wave in order.
-func (r *Runner) runBatched() {
-	for len(r.queue) > 0 {
-		at := r.queue[0].at
-		r.batch = r.batch[:0]
-		for len(r.queue) > 0 && r.queue[0].at == at {
-			r.batch = append(r.batch, r.queue.pop())
-		}
-		if len(r.batch) > r.batchPeak {
-			r.batchPeak = len(r.batch)
-		}
-		for i := range r.batch {
-			if !r.deliver(&r.batch[i]) {
-				return
-			}
-			r.batch[i].msg = nil
-		}
-	}
 }

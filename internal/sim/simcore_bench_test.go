@@ -25,7 +25,7 @@ func (floodMsg) MarshalBinary() ([]byte, error) { return []byte{0, 0, 0, 0}, nil
 // round, advances when it has heard n messages of its current round, and
 // halts after Rounds rounds. Its Deliver path allocates nothing, so the
 // benchmark's allocs/event and ns/event measure the simulator core — heap
-// maintenance, latency/cost sampling, step accounting — rather than any
+// upkeep, latency/cost sampling, step accounting — rather than any
 // protocol's bookkeeping.
 type flood struct {
 	env    node.Env
@@ -81,9 +81,11 @@ func runFlood(b *testing.B, n int, rule sim.DelayRule, opts ...sim.Option) int {
 // BenchmarkSimCore pins the simulator core's per-event cost: ns/event and
 // allocs/event for an allocation-free synthetic protocol at the harness'
 // three characteristic sizes, on a clean network and under the heavy-tailed
-// jitter-storm adversary (the worst case for the delay-rule fast path).
-// These numbers are the regression gate for the inlined-heap event loop;
-// scripts/bench.sh records them in BENCH_5.json.
+// jitter-storm adversary (the worst case for the delay-rule fast path, and
+// the one whose long delays reach the calendar queue's overflow heap).
+// These numbers are the regression gate for the sequential event loop;
+// scripts/bench.sh records them. Runs use no Scratch, so each pays for
+// allocating its own queue, as a one-off simulation does.
 func BenchmarkSimCore(b *testing.B) {
 	for _, n := range []int{16, 40, 160} {
 		for _, adv := range []struct {

@@ -57,14 +57,18 @@ if ! cmp -s "$adv1" "$adv2"; then
     exit 1
 fi
 
-# The simulator's inlined-heap fast path carries a byte-identity guarantee:
+# The sequential simulator's event queue carries a byte-identity guarantee:
 # fixed-seed outputs for every protocol under every adversary preset must
-# match the golden files generated from the pre-fast-path (container/heap)
-# simulator bit for bit. The gate runs explicitly — even when someone trims
-# the test invocation above — because a silent schedule change would
-# invalidate every downstream measurement.
+# match the golden files generated from the original (container/heap)
+# simulator bit for bit — at n≤8, and at n=400, where the calendar queue's
+# ring horizon and overflow heap come into play (golden_sim_scale.txt,
+# recorded with the heap queue). The queue's property test checks its pop
+# order against the heap's on random push/pop interleavings. The gate runs
+# explicitly — even when someone trims the test invocation above — because
+# a silent schedule change would invalidate every downstream measurement.
 echo "== sim byte-identity gate =="
-go test ./internal/bench -run TestSimGoldenByteIdentity -count=1
+go test ./internal/bench -run 'TestSimGoldenByteIdentity|TestSimGoldenScale' -count=1
+go test ./internal/sim -run TestSeqQueueMatchesHeap -count=1
 
 # The parallel window executor carries its own two guarantees, gated under
 # -race on every run: (1) worker-count determinism — a parallel run is
