@@ -43,8 +43,8 @@ import (
 )
 
 // event is a message delivery scheduled at a virtual time. Events are
-// stored by value in the runner's queue; the node IDs are packed to 32 bits
-// so an event is 40 bytes, not 48.
+// stored by value in the runner's queue; the node IDs are 32 bits wide so
+// an event fills 40 bytes.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker for determinism
@@ -282,13 +282,13 @@ func (r *Result) Outputs(ids []node.ID) []any {
 type DelayRule func(at time.Duration, from, to node.ID, m node.Message) time.Duration
 
 // Scratch is a Runner's reusable storage: the event queue's calendar ring
-// and block store (the freelist that replaces per-event allocation
+// and block pool (the freelist that replaces per-event allocation
 // entirely), the per-node bookkeeping slab, and — for parallel runs — the
-// per-shard calendars. A session-scoped caller hands the same Scratch to consecutive
-// NewRunner calls so a thousand-trial sweep performs the growth allocations
-// once instead of once per trial. A Scratch must not be shared by
-// concurrently running Runners; reuse never changes results (every buffer
-// is fully reset) — only allocation counts.
+// per-shard calendars. A session-scoped caller hands the same Scratch to
+// consecutive NewRunner calls so a thousand-trial sweep performs the
+// growth allocations once instead of once per trial. A Scratch must not be
+// shared by concurrently running Runners; reuse never changes results
+// (every buffer is fully reset) — only allocation counts.
 //
 // Retained capacity is bounded, not monotone: after each run every backing
 // array whose peak occupancy fit in an eighth of its capacity is halved
